@@ -13,8 +13,9 @@
 # overhead gate (flight recorder installed with sampling off must stay
 # within 1% of untraced, sampled hot path must not allocate), a short
 # durable benchmark cell (BENCH_durable_smoke.json), and the
-# order-statistics gates (Exact-mode linearizability bracket checker and
-# the CountRange-vs-scan ≥10x speedup floor).
+# order-statistics gates (Exact-mode linearizability bracket checker, the
+# quiescent CountRange-vs-scan ≥10x speedup floor and the churned ≥1x
+# floor).
 
 GO ?= go
 
@@ -159,14 +160,20 @@ aggregate-stress:
 	@out=$$($(GO) run ./cmd/bststress -aggregate -targets nm -duration 5s) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | tail -1
 
-# The order-statistics speedup gate: over 1M keys, CountRange through the
-# lazily refreshed summary must beat counting a Scan by ≥10x (measured
-# headroom is orders of magnitude — the floor only catches a broken
-# summary path silently degrading to the scan). The JSON lands in
+# The order-statistics speedup gates: over 1M quiescent keys, CountRange
+# through the lazily refreshed summary must beat counting a Scan by ≥10x
+# (measured headroom is orders of magnitude — the floor only catches a
+# broken summary path silently degrading to the scan), and over 100K keys
+# churned by a concurrent writer an Exact CountRange — which pays a refresh
+# wave for the mutations since the previous query — must still be no
+# slower than the scan it replaces. The quiescent JSON lands in
 # BENCH_aggregate_smoke.json for the CI artifact upload.
 aggregate-smoke:
 	@out=$$($(GO) run ./cmd/bstbench -aggregate -keyranges 1000000 -duration 200ms \
 		-agg-min-speedup 10 -json BENCH_aggregate_smoke.json) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | tail -1
+	@out=$$($(GO) run ./cmd/bstbench -aggregate -keyranges 100000 -agg-writers 1 -duration 200ms \
+		-agg-min-speedup 1) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | tail -1
 
 # Longer soak, including the capacity exhaust/recover round and the

@@ -479,20 +479,25 @@ func (t *Tree) Health() Health {
 }
 
 // Stats is an alias-level summary of Health's counter fields, kept
-// separate so hot monitoring paths can avoid the full report.
+// separate so hot monitoring paths can avoid the full report, plus the
+// order-statistics layer's refresh telemetry.
 type Stats struct {
 	NodesAllocated uint64
 	NodesRecycled  uint64
 	RetiredBacklog int
+	// Aggregates is zero unless the tree was built WithOrderStatistics.
+	Aggregates AggregateStats
 }
 
-// Stats reports allocation counters (see Health for the full report).
+// Stats reports allocation counters (see Health for the full report) and
+// order-statistics refresh telemetry.
 func (t *Tree) Stats() Stats {
 	h := t.Health()
 	return Stats{
 		NodesAllocated: h.NodesAllocated,
 		NodesRecycled:  h.NodesRecycled,
 		RetiredBacklog: h.RetiredBacklog,
+		Aggregates:     t.aggregateStats(),
 	}
 }
 

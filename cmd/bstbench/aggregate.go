@@ -129,9 +129,13 @@ func runAggregateMode(keyRanges []int, writers, reps int, dur time.Duration, see
 			}(w)
 		}
 
-		tbl := stats.NewTable("method", "queries_per_sec", "vs_scan")
+		// mutations is the churn that landed during each cell: an Exact row
+		// is only a churned measurement if the writers kept mutating while
+		// it ran (a starved writer turns Exact queries into cache hits).
+		tbl := stats.NewTable("method", "queries_per_sec", "vs_scan", "mutations")
 		var scanQPS float64
 		for _, method := range aggMethods {
+			c0 := churn.Load()
 			runs := runAggregateCell(tree, method, kr, reps, dur, seed)
 			v := stats.Median(runs)
 			if method == "scan-count" {
@@ -144,7 +148,7 @@ func runAggregateMode(keyRanges []int, writers, reps int, dur time.Duration, see
 			if method == "count-exact" {
 				lastSpeedup = ratio
 			}
-			tbl.AddRow(method, stats.HumanCount(v), fmt.Sprintf("%.1fx", ratio))
+			tbl.AddRow(method, stats.HumanCount(v), fmt.Sprintf("%.1fx", ratio), churn.Load()-c0)
 			if csvTable != nil {
 				csvTable.AddRow(kr, "aggregate", 1, "nm["+method+"]", v)
 			}

@@ -25,10 +25,13 @@ import (
 //
 // — every Exact Rank/CountRange answer must land inside that window, with
 // no quiescing. A final quiescent phase then checks exact agreement
-// against a fresh Scan (count, rank, and spot-checked Select).
-func aggregateRound(workers int, seed uint64) error {
+// against a fresh Scan (count, rank, and spot-checked Select). Each
+// tree's refresh telemetry is added to waves, so the run can show that
+// both wave kinds — incremental and a fallback full walk (one that is not
+// a tree's first wave) — were exercised.
+func aggregateRound(workers int, seed uint64, waves *bst.AggregateStats) error {
 	for _, sharded := range []bool{false, true} {
-		if err := aggregateConfigRound(workers, seed, sharded); err != nil {
+		if err := aggregateConfigRound(workers, seed, sharded, waves); err != nil {
 			name := "single"
 			if sharded {
 				name = "sharded"
@@ -39,7 +42,7 @@ func aggregateRound(workers int, seed uint64) error {
 	return nil
 }
 
-func aggregateConfigRound(workers int, seed uint64, sharded bool) error {
+func aggregateConfigRound(workers int, seed uint64, sharded bool, waves *bst.AggregateStats) error {
 	const (
 		blockSize = 4096 // keys per worker block
 		opsPerW   = 20000
@@ -54,6 +57,14 @@ func aggregateConfigRound(workers int, seed uint64, sharded bool) error {
 	}
 	tr := bst.New(opts...)
 	defer tr.Close()
+	defer func() {
+		st := tr.Stats().Aggregates
+		waves.IncrementalWaves += st.IncrementalWaves
+		waves.FullWaves += st.FullWaves
+		waves.FallbackWaves += st.FallbackWaves
+		waves.DirtyKeys += st.DirtyKeys
+		waves.ExactHits += st.ExactHits
+	}()
 
 	var insIssued, insAcked, delIssued, delAcked atomic.Int64
 	var wg sync.WaitGroup

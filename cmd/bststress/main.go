@@ -169,6 +169,7 @@ func main() {
 	deadline := time.Now().Add(*duration)
 	round := 0
 	failures := 0
+	var aggWaves bst.AggregateStats // refresh telemetry summed over -aggregate rounds
 	for time.Now().Before(deadline) {
 		if sig, stop := interrupted(); stop {
 			fmt.Printf("bststress: %v — finishing after %d complete round(s)\n", sig, round)
@@ -223,7 +224,7 @@ func main() {
 		}
 		if *aggregate {
 			runCheck(ctx, "aggregate", "nm", func() {
-				if err := aggregateRound(*workers, uint64(round)); err != nil {
+				if err := aggregateRound(*workers, uint64(round), &aggWaves); err != nil {
 					failures++
 					fmt.Printf("FAIL [aggregate] nm round %d: %v\n", round, err)
 				}
@@ -255,6 +256,16 @@ func main() {
 		}
 		task.End()
 		fmt.Printf("round %d complete (%d targets, %d failures so far)\n", round, len(targets), failures)
+	}
+	if *aggregate {
+		fmt.Printf("aggregate waves: %d incremental (%d dirty keys), %d full walks (%d fallbacks), %d exact cache hits\n",
+			aggWaves.IncrementalWaves, aggWaves.DirtyKeys, aggWaves.FullWaves, aggWaves.FallbackWaves, aggWaves.ExactHits)
+		// Every index's first wave walks, so only fallback walks — lost
+		// keys, or too many dirty keys — show the walk ran under churn.
+		if round > 0 && (aggWaves.IncrementalWaves == 0 || aggWaves.FallbackWaves == 0) {
+			failures++
+			fmt.Println("FAIL [aggregate] the Exact queries did not exercise both refresh wave kinds")
+		}
 	}
 	if failures > 0 {
 		fmt.Printf("bststress: %d failure(s) over %d rounds\n", failures, round)

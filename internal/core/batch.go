@@ -71,6 +71,13 @@ type waveEnt struct {
 	pw uint64
 }
 
+// lookRun is a run of sorted lookup keys, ord[lo:hi], that all currently
+// sit at node (LookupBatch's first phase).
+type lookRun struct {
+	lo, hi int32
+	node   uint32
+}
+
 // batchPath is the access path recorded by the most recent path-recording
 // seek: the visited nodes, their (immutable) routing keys, and the packed
 // child word read for each descent edge. nodes[0] is always the sentinel
@@ -373,52 +380,69 @@ func (h *Handle) LookupBatch(ks []uint64, out []bool) {
 	ord := h.sortBatch(ks)
 	cur := h.wave[:0]
 	for range ord {
-		cur = append(cur, t.s)
+		cur = append(cur, 0)
 	}
 	h.wave = cur
+	runs := append(h.runs[:0], lookRun{0, int32(len(ord)), t.s})
 
 	var skipped uint64
 	h.pin()
-	// Phase 1: grouped lockstep descent. Keys sharing their current node
-	// read it once; the phase ends as soon as every surviving group is a
-	// singleton — two keys at distinct nodes have disjoint subtrees, so
-	// groups never re-merge and further grouping is pure scan overhead.
-	shared := true
-	for shared {
-		shared = false
-		i := 0
-		for i < len(ord) {
-			c := cur[i]
-			if c == 0 { // this key already reached its leaf
-				i++
+	// Phase 1: runs. Sorted keys at the same node form a contiguous run,
+	// which reads the node once and moves as a unit while every member
+	// routes the same way (its first and last key decide), and splits in
+	// two where the node's key falls inside it. A run that reaches a leaf
+	// answers every member from it; a run of one leaves for phase 2. The
+	// cost per level is one step per run, not per key, so keys sharing a
+	// long path prefix — a deep spine above a dense key range — pay for it
+	// once. Each member reads exactly the words its own descent would.
+	for len(runs) > 0 {
+		// Sweep the current runs, appending their successors after them.
+		n := len(runs)
+		for _, r := range runs[:n] {
+			if r.hi-r.lo == 1 {
+				cur[r.lo] = r.node
 				continue
 			}
-			nd := ar.Get(c)
-			j := i
-			for j < len(ord) && cur[j] == c {
-				k := ord[j].key
-				var w uint64
-				if k < nd.key {
-					w = nd.left.Load()
-				} else {
-					w = nd.right.Load()
+			nd := ar.Get(r.node)
+			skipped += uint64(r.hi - r.lo - 1)
+			m := r.lo // first member routing right
+			if ord[r.hi-1].key < nd.key {
+				m = r.hi
+			} else if ord[r.lo].key < nd.key {
+				lo, hi := r.lo+1, r.hi-1
+				for lo < hi {
+					mid := int32(uint32(lo+hi) >> 1)
+					if ord[mid].key < nd.key {
+						lo = mid + 1
+					} else {
+						hi = mid
+					}
 				}
-				nxt := atomicx.Addr(w)
-				if nxt == 0 {
-					out[ord[j].pos] = nd.key == k
-					cur[j] = 0
-				} else {
-					cur[j] = nxt
+				m = lo
+			}
+			var l, rt uint32
+			if m > r.lo {
+				l = atomicx.Addr(nd.left.Load())
+			}
+			if m < r.hi && (m == r.lo || l != 0) {
+				rt = atomicx.Addr(nd.right.Load())
+			}
+			if (m > r.lo && l == 0) || (m < r.hi && rt == 0) { // a leaf
+				for j := r.lo; j < r.hi; j++ {
+					out[ord[j].pos] = nd.key == ord[j].key
 				}
-				j++
+				continue
 			}
-			if j-i > 1 {
-				shared = true
-				skipped += uint64(j - i - 1)
+			if m > r.lo {
+				runs = append(runs, lookRun{r.lo, m, l})
 			}
-			i = j
+			if m < r.hi {
+				runs = append(runs, lookRun{m, r.hi, rt})
+			}
 		}
+		runs = runs[:copy(runs, runs[n:])]
 	}
+	h.runs = runs
 	// Phase 2: the fragmented tail. Finish the keys in small fixed windows
 	// of independent descents — wide enough that their cache misses still
 	// overlap (memory-level parallelism saturates around the load-buffer
@@ -566,7 +590,7 @@ func (h *Handle) batchInsertOne(key uint64, rec seekRecord, useRec bool) (bool, 
 		if childAddr.CompareAndSwap(atomicx.Pack(leaf, false, false), atomicx.Pack(ni, false, false)) {
 			h.Stats.CASSucceeded++
 			h.spareInternal, h.spareLeaf = 0, 0
-			h.bumpDirty()
+			h.bumpDirty(key)
 			return true, skipped, nil
 		}
 		h.Stats.CASFailed++
@@ -646,7 +670,7 @@ func (h *Handle) batchDeleteOne(key uint64, rec seekRecord) (bool, int) {
 				h.Stats.CASSucceeded++
 				mode = cleanupMode
 				if h.cleanup(key, sr) {
-					h.bumpDirty()
+					h.bumpDirty(key)
 					return true, skipped
 				}
 			} else {
@@ -665,11 +689,11 @@ func (h *Handle) batchDeleteOne(key uint64, rec seekRecord) (bool, int) {
 			}
 		} else {
 			if sr.leaf != leaf {
-				h.bumpDirty()
+				h.bumpDirty(key)
 				return true, skipped // a helper finished our delete
 			}
 			if h.cleanup(key, sr) {
-				h.bumpDirty()
+				h.bumpDirty(key)
 				return true, skipped
 			}
 		}

@@ -111,11 +111,12 @@ type Config struct {
 	// registers a snapshot hook folding in arena and epoch telemetry.
 	// When nil every instrumentation site costs one nil check.
 	Metrics *metrics.Registry
-	// TrackDirty gives every handle a private sharded mutation counter
-	// (see dirty.go) that successful inserts and deletes bump before
+	// TrackDirty gives every handle a private mutation log (see dirty.go)
+	// that successful inserts and deletes append their key to before
 	// returning. The order-statistics layer (internal/orderstat) reads
-	// the total to decide whether its cached summaries are still exact.
-	// When false the hot paths pay one nil check per successful mutation.
+	// the total to decide whether its cached summaries are still exact,
+	// and drains the keys to refresh only what changed. When false the
+	// hot paths pay one nil check per successful mutation.
 	TrackDirty bool
 }
 

@@ -51,6 +51,7 @@ import (
 
 	bst "repro"
 	"repro/internal/failpoint"
+	"repro/internal/metrics"
 	"repro/internal/rtrace"
 	"repro/internal/snapshot"
 	"repro/internal/wal"
@@ -174,7 +175,7 @@ type Tree struct {
 	// Cumulative checkpoint/recovery telemetry for MetricsHook.
 	snapshots     atomic.Uint64
 	snapshotKeys  atomic.Uint64
-	snapshotHist  latencyHist
+	snapshotHist  metrics.Hist
 	lastCkptSeq   atomic.Uint64
 	replayedTotal atomic.Uint64
 }
@@ -591,6 +592,10 @@ func (d *Tree) Scan(from, to int64, yield func(key int64) bool) { d.tree.Scan(fr
 // Health passes through to the underlying tree.
 func (d *Tree) Health() bst.Health { return d.tree.Health() }
 
+// Stats forwards to the underlying tree (allocation counters and
+// order-statistics refresh telemetry).
+func (d *Tree) Stats() bst.Stats { return d.tree.Stats() }
+
 // Underlying exposes the wrapped tree for telemetry wiring (metrics
 // registry). Mutating through it bypasses the WAL; don't.
 func (d *Tree) Underlying() *bst.Tree { return d.tree }
@@ -897,7 +902,7 @@ func (d *Tree) checkpointLocked() (CheckpointStats, error) {
 	d.lastCkptSeq.Store(h)
 	d.snapshots.Add(uint64(len(d.lanes)))
 	d.snapshotKeys.Add(stats.Keys)
-	d.snapshotHist.observe(stats.Duration)
+	d.snapshotHist.Observe(stats.Duration)
 	// Checkpoints are rare enough to record unconditionally: a loose span
 	// with no trace identity, visible in /debug/rtrace and the phase
 	// aggregates (Arg = the horizon the snapshot covers).

@@ -50,6 +50,15 @@ func (a *Aggregates) Close() {
 	}
 }
 
+// Stats sums the shard indexes' refresh telemetry.
+func (a *Aggregates) Stats() orderstat.Stats {
+	var s orderstat.Stats
+	for _, ix := range a.ix {
+		s.Add(ix.Stats())
+	}
+	return s
+}
+
 // Index returns shard i's order-statistics index (diagnostics, tests).
 func (a *Aggregates) Index(i int) *orderstat.Index { return a.ix[i] }
 

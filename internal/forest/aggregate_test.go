@@ -3,6 +3,7 @@ package forest
 import (
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/keys"
@@ -120,5 +121,79 @@ func TestForestAggregatesRequireTrackDirty(t *testing.T) {
 	defer f.Close()
 	if _, err := NewAggregates(f); err == nil {
 		t.Fatal("NewAggregates succeeded without TrackDirty")
+	}
+}
+
+// TestForestIncrementalWaves churns a 4-shard forest from concurrent
+// batched writers while exact aggregates run, then checks the quiesced
+// merge against a merged Range and that the shard indexes refreshed
+// incrementally — each shard's wave re-resolves only its own dirty keys.
+func TestForestIncrementalWaves(t *testing.T) {
+	f, a := newAggForest(t, 4)
+	rng := rand.New(rand.NewSource(3))
+	for _, k := range rng.Perm(1 << 14) {
+		f.Insert(keys.Map(int64(k) << 6)) // spread over every shard
+	}
+	a.Len(true, 0)
+
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			h := f.NewHandle()
+			defer h.Close()
+			r := rand.New(rand.NewSource(seed))
+			ks := make([]uint64, 64)
+			out, errs := make([]bool, 64), make([]error, 64)
+			for round := 0; round < 50; round++ {
+				for i := range ks {
+					ks[i] = keys.Map(int64(r.Intn(1 << 20)))
+				}
+				if round%2 == 0 {
+					h.InsertBatch(ks, out, errs)
+				} else {
+					h.DeleteBatch(ks, out)
+				}
+			}
+		}(int64(w))
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			a.Count(keys.Map(0), keys.Map(1<<20), true, 0)
+		}
+	}
+
+	var ref []uint64
+	f.Range(keys.Map(0), keys.Map(1<<20), func(u uint64) bool { ref = append(ref, u); return true })
+	if got := a.Len(true, 0); got != len(ref) {
+		t.Fatalf("Len = %d, want %d", got, len(ref))
+	}
+	for i := 0; i < len(ref); i += 97 {
+		if got := a.Rank(ref[i], true, 0); got != i {
+			t.Fatalf("Rank(ref[%d]) = %d", i, got)
+		}
+		if u, ok := a.Select(i, true, 0); !ok || u != ref[i] {
+			t.Fatalf("Select(%d) = (%#x, %v), want %#x", i, u, ok, ref[i])
+		}
+		j := min(len(ref)-1, i+rng.Intn(4000))
+		var sum int64
+		for _, u := range ref[i : j+1] {
+			sum += keys.Unmap(u)
+		}
+		if got := a.Count(ref[i], ref[j], true, 0); got != j-i+1 {
+			t.Fatalf("Count(ref[%d], ref[%d]) = %d, want %d", i, j, got, j-i+1)
+		}
+		if got := a.Sum(ref[i], ref[j], true, 0); got != sum {
+			t.Fatalf("Sum(ref[%d], ref[%d]) = %d, want %d", i, j, got, sum)
+		}
+	}
+	if st := a.Stats(); st.IncrementalWaves == 0 || st.FullWaves < 4 {
+		t.Fatalf("stats %+v: want every shard's first full wave and incremental waves after", st)
 	}
 }

@@ -120,3 +120,63 @@ func TestHelpingCompletesStalledRelocation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// flagInsert performs an insert's first step by hand — find the spot,
+// flag the would-be parent with a ChildCASOp — and stops there, returning
+// the op and the flagged node.
+func flagInsert(t *testing.T, h *Handle, key uint64) (*childCASOp, *node) {
+	t.Helper()
+	res, _, _, curr, currOp := h.find(key, h.t.root, true)
+	if res == found {
+		t.Fatalf("setup: key %#x already present", key)
+	}
+	isLeft := res == notFoundL
+	old := curr.right.Load()
+	if isLeft {
+		old = curr.left.Load()
+	}
+	op := newChildCAS(isLeft, old, newNode(key))
+	if !curr.op.CompareAndSwap(currOp, op.flagged) {
+		t.Fatal("setup: flag CAS failed")
+	}
+	return op, curr
+}
+
+// TestStaleChildCASHelperCannotResurrect replays the ABA on an emptied
+// child field deterministically: a helper of a finished insert wakes up
+// after the inserted node was deleted and a newer insert flagged the same
+// parent, and re-applies its stale child CAS. The stale CAS must fail, so
+// the newer insert lands and the deleted key stays deleted.
+func TestStaleChildCASHelperCannotResurrect(t *testing.T) {
+	tr := New()
+	h := tr.NewHandle()
+	h.Insert(keys.Map(50))
+
+	stale, parent := flagInsert(t, h, keys.Map(60))
+	h.helpChildCAS(stale, parent) // the owner completes the insert of 60...
+	staleHelper := tr.NewHandle() // ...while a helper that read the op stalls
+	if !h.Delete(keys.Map(60)) {  // 60 goes again: 50's right child is empty
+		t.Fatal("delete of 60 failed")
+	}
+	fresh, parent2 := flagInsert(t, h, keys.Map(70)) // a newer insert flags 50
+	if parent2 != parent || fresh.isLeft != stale.isLeft {
+		t.Fatal("setup: the newer insert does not target the same child field")
+	}
+	staleHelper.helpChildCAS(stale, parent) // the stale helper wakes
+	h.helpChildCAS(fresh, parent)           // the newer insert completes
+
+	if !h.Search(keys.Map(70)) {
+		t.Fatal("insert of 70 reported success but the key is missing")
+	}
+	if h.Search(keys.Map(60)) {
+		t.Fatal("deleted key 60 resurrected by a stale helper")
+	}
+	if err := tr.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	var got []int64
+	tr.Keys(func(u uint64) bool { got = append(got, keys.Unmap(u)); return true })
+	if len(got) != 2 || got[0] != 50 || got[1] != 70 {
+		t.Fatalf("keys = %v, want [50 70]", got)
+	}
+}

@@ -17,10 +17,12 @@
 // Adaptation notes (C original → Go): the original packs the operation
 // state into pointer low bits; here an opRef record carries the kind, and
 // all helpers CAS toward pre-created shared refs so record identity
-// replaces packed-word equality. The node key must be mutable (relocation
-// overwrites it), so it is atomic. Key values at a node only ever increase
-// (a relocation installs the in-order successor), which rules out ABA on
-// the key CAS.
+// replaces packed-word equality. Likewise, where C empties a child field
+// with a null-flagged pointer, here a removal installs a fresh marker node
+// (newNull), so no child CAS ever expects a value that can recur. The node
+// key must be mutable (relocation overwrites it), so it is atomic. Key
+// values at a node only ever increase (a relocation installs the in-order
+// successor), which rules out ABA on the key CAS.
 package hjbst
 
 import (
@@ -37,6 +39,7 @@ const (
 	kindChildCAS               // a child pointer is being swung
 	kindRelocate               // the node's key is being replaced
 	kindMark                   // the node is logically deleted (permanent)
+	kindNull                   // the node is an empty-child marker (permanent)
 )
 
 // opRef is the immutable {kind, record} value stored in a node's op field.
@@ -48,6 +51,28 @@ type opRef struct {
 
 // noneRef is the shared initial op of every node.
 var noneRef = &opRef{kind: kindNone}
+
+// nullRef is the op of every empty-child marker.
+var nullRef = &opRef{kind: kindNull}
+
+// An empty child field holds nil only until its first child arrives;
+// every removal that empties it installs a fresh marker node instead
+// (the C original tags the removed node's address with a null bit). A
+// child CAS expecting "empty" therefore expects one particular marker,
+// and a late helper of a finished insert — whose expected value is the
+// empty field it saw — can never succeed again after the field was
+// filled and emptied: that is the ABA that would resurrect a deleted
+// node and silently void a newer insert's child CAS.
+
+// newNull returns a fresh empty-child marker.
+func newNull() *node {
+	n := &node{}
+	n.op.Store(nullRef)
+	return n
+}
+
+// isNull reports whether a child field value is empty.
+func isNull(n *node) bool { return n == nil || n.op.Load() == nullRef }
 
 type node struct {
 	key   atomic.Uint64 // mutable: relocation replaces it (monotonically up)
@@ -68,6 +93,14 @@ type childCASOp struct {
 	isLeft           bool
 	expected, update *node
 	flagged, done    *opRef // shared CAS targets for all helpers
+}
+
+// newChildCAS builds a child swing with its shared CAS targets.
+func newChildCAS(isLeft bool, expected, update *node) *childCASOp {
+	op := &childCASOp{isLeft: isLeft, expected: expected, update: update}
+	op.flagged = &opRef{kind: kindChildCAS, cc: op}
+	op.done = &opRef{kind: kindNone, cc: op}
+	return op
 }
 
 // Relocation states.
@@ -172,9 +205,12 @@ retry:
 	next := curr.right.Load()
 	lastRight, lastRightOp := curr, currOp
 	for next != nil {
+		nextOp := next.op.Load()
+		if nextOp == nullRef {
+			break
+		}
 		pred, predOp = curr, currOp
-		curr = next
-		currOp = curr.op.Load()
+		curr, currOp = next, nextOp
 		if currOp.kind != kindNone {
 			h.Stats.Helps++
 			h.help(pred, predOp, curr, currOp)
@@ -232,9 +268,7 @@ func (h *Handle) Insert(key uint64) bool {
 		} else {
 			old = curr.right.Load()
 		}
-		op := &childCASOp{isLeft: isLeft, expected: old, update: nn}
-		op.flagged = &opRef{kind: kindChildCAS, cc: op}
-		op.done = &opRef{kind: kindNone, cc: op}
+		op := newChildCAS(isLeft, old, nn)
 		h.Stats.OpAlloc++
 		h.Stats.RefsAlloc += 2
 		if h.cas(curr.op.CompareAndSwap(currOp, op.flagged)) {
@@ -256,7 +290,7 @@ func (h *Handle) Delete(key uint64) bool {
 			h.Stats.Deletes++
 			return false
 		}
-		if curr.right.Load() == nil || curr.left.Load() == nil {
+		if isNull(curr.right.Load()) || isNull(curr.left.Load()) {
 			// At most one child: mark (permanent), then splice out.
 			markRef := &opRef{kind: kindMark}
 			h.Stats.RefsAlloc++
@@ -313,18 +347,18 @@ func (h *Handle) helpChildCAS(op *childCASOp, dest *node) {
 	h.cas(dest.op.CompareAndSwap(op.flagged, op.done))
 }
 
-// helpMarked splices a marked node out: its single child (or nil) replaces
-// it in its parent via a fresh ChildCASOp on the parent.
+// helpMarked splices a marked node out: its single child (or a fresh empty
+// marker) replaces it in its parent via a fresh ChildCASOp on the parent.
 func (h *Handle) helpMarked(pred *node, predOp *opRef, curr *node) {
-	var newRef *node
-	if l := curr.left.Load(); l != nil {
-		newRef = l
-	} else {
+	newRef := curr.left.Load()
+	if isNull(newRef) {
 		newRef = curr.right.Load()
 	}
-	op := &childCASOp{isLeft: curr == pred.left.Load(), expected: curr, update: newRef}
-	op.flagged = &opRef{kind: kindChildCAS, cc: op}
-	op.done = &opRef{kind: kindNone, cc: op}
+	if isNull(newRef) {
+		newRef = newNull()
+		h.Stats.RefsAlloc++
+	}
+	op := newChildCAS(curr == pred.left.Load(), curr, newRef)
 	h.Stats.OpAlloc++
 	h.Stats.RefsAlloc += 2
 	if h.cas(pred.op.CompareAndSwap(predOp, op.flagged)) {
@@ -396,7 +430,7 @@ func (t *Tree) Space() SpaceStats {
 	var s SpaceStats
 	var walk func(n *node)
 	walk = func(n *node) {
-		if n == nil {
+		if isNull(n) {
 			return
 		}
 		s.TotalNodes++
@@ -417,7 +451,7 @@ func (t *Tree) Space() SpaceStats {
 
 // Keys visits user keys in ascending order (quiescent only).
 func (t *Tree) Keys(yield func(uint64) bool) {
-	if r := t.root.right.Load(); r != nil {
+	if r := t.root.right.Load(); !isNull(r) {
 		t.visit(r, yield)
 	}
 }
@@ -428,13 +462,13 @@ func (t *Tree) Keys(yield func(uint64) bool) {
 // skipped while their children — at most one — are still descended.
 func (t *Tree) visit(n *node, yield func(uint64) bool) bool {
 	marked := n.op.Load().kind == kindMark
-	if l := n.left.Load(); l != nil && !t.visit(l, yield) {
+	if l := n.left.Load(); !isNull(l) && !t.visit(l, yield) {
 		return false
 	}
 	if k := n.key.Load(); !marked && !keys.IsSentinel(k) && !yield(k) {
 		return false
 	}
-	if r := n.right.Load(); r != nil && !t.visit(r, yield) {
+	if r := n.right.Load(); !isNull(r) && !t.visit(r, yield) {
 		return false
 	}
 	return true
@@ -450,11 +484,11 @@ func (t *Tree) Audit() error {
 	if k := t.root.key.Load(); k != keys.Inf2 {
 		return fmt.Errorf("root key corrupted: %#x", k)
 	}
-	if l := t.root.left.Load(); l != nil {
+	if l := t.root.left.Load(); !isNull(l) {
 		return fmt.Errorf("root grew a left child")
 	}
 	r := t.root.right.Load()
-	if r == nil {
+	if isNull(r) {
 		return nil
 	}
 	return t.audit(r, 0, keys.Inf2-1)
@@ -472,14 +506,13 @@ func (t *Tree) audit(n *node, lo, hi uint64) error {
 		// A zombie's key is a duplicate of a relocated live key; it no
 		// longer participates in ordering but must still route its (single)
 		// child consistently.
-		l, r := n.left.Load(), n.right.Load()
-		if l != nil && r != nil {
+		if !isNull(n.left.Load()) && !isNull(n.right.Load()) {
 			return fmt.Errorf("marked node %#x has two children", k)
 		}
 	default:
 		return fmt.Errorf("reachable node %#x has transient op kind %d in quiescent tree", k, op.kind)
 	}
-	if l := n.left.Load(); l != nil {
+	if l := n.left.Load(); !isNull(l) {
 		hiL := hi
 		if k != 0 && k-1 < hiL {
 			hiL = k - 1
@@ -488,7 +521,7 @@ func (t *Tree) audit(n *node, lo, hi uint64) error {
 			return err
 		}
 	}
-	if r := n.right.Load(); r != nil {
+	if r := n.right.Load(); !isNull(r) {
 		loR := lo
 		if k+1 > loR {
 			loR = k + 1

@@ -124,8 +124,10 @@ func WritePrometheus(w io.Writer, snaps []Named) {
 			f.samples = append(f.samples, promSample{joinLabels(ns.Name, pc.labels), float64(s.Counters[c])})
 		}
 		for _, k := range sortedKeys(s.External) {
-			f := fam("bst_"+k, "counter")
-			f.samples = append(f.samples, promSample{joinLabels(ns.Name, ""), float64(s.External[k])})
+			// A key may carry its own labels: `name{kind="full"}`.
+			name, labels, _ := strings.Cut(k, "{")
+			f := fam("bst_"+name, "counter")
+			f.samples = append(f.samples, promSample{joinLabels(ns.Name, strings.TrimSuffix(labels, "}")), float64(s.External[k])})
 		}
 		for _, k := range sortedGaugeKeys(s.Gauges) {
 			f := fam("bst_"+k, "gauge")

@@ -1,7 +1,7 @@
 // Package orderstat is the lazily-refreshed order-statistics layer over
 // the lock-free external BST (internal/core): rank, select, count-in-range
-// and sum-in-range in O(log n), without adding a single atomic instruction
-// to the paper's insert and delete hot paths.
+// and sum-in-range in O(log n + B), without adding a single atomic
+// instruction to the paper's insert and delete hot paths.
 //
 // # Why writers never CAS summary words
 //
@@ -15,48 +15,46 @@
 // summaries would reintroduce the multi-word coordination the paper's
 // design eliminates.
 //
-// Instead, writers only bump a per-handle sharded dirty counter
-// (core.Config.TrackDirty — the internal/metrics single-writer pattern:
-// one padded cache line per handle, plain store over load, no RMW), and a
-// refresher reconciles summaries in waves:
+// Instead, writers only append the key they changed to a per-handle
+// single-writer dirty log (core.Config.TrackDirty — the internal/metrics
+// pattern: a plain ring store plus a store over a load of the counter, no
+// RMW), and a refresher reconciles the summary in waves:
 //
-//	d0 := dirty.Total()            // before the walk
-//	keys := epoch-pinned in-order walk (core.Handle.Range)
-//	summaries := bottom-up build over keys
+//	keys, d0 := dirty.Drain()          // every mutation counted in d0
+//	present := LookupBatch(sorted keys) // one epoch pin, after the drain
+//	rewrite the blocks holding those keys, copy-on-write
 //	publish Summary{..., CleanDirty: d0}
 //
-// A wave runs under the same epoch pin as any Scan, so it sees every key
-// whose insert completed before the pin and is indifferent to racers —
-// the scan's usual weak-consistency contract. Reading d0 *before* the
-// walk makes CleanDirty a sound freshness token: if dirty.Total() still
-// equals CleanDirty at query time, no mutation has completed since before
-// the wave began (bumps happen before mutating calls return), so the
-// summary covers every completed mutation and answering from it is
-// equivalent to running a fresh epoch-pinned scan at the query's
-// linearization point.
+// Every key whose mutation is counted in d0 is looked up after that
+// mutation completed, and every other key's presence is unchanged since
+// the wave that last resolved it, so the published summary covers every
+// mutation counted in d0 — the same weak-consistency contract as an
+// epoch-pinned scan. If dirty.Total() still equals CleanDirty at query
+// time, no mutation has completed since (records happen before mutating
+// calls return), so answering from the summary is equivalent to running
+// a fresh scan at the query's linearization point.
+//
+// A wave costs O(d·log n + d·B + n/B) for d dirty keys and blocks of about
+// B keys. The first wave, a wave after a ring or orphan-list overflow
+// lost keys, and a wave whose d is large against n walk the whole tree
+// instead (O(n)) and feed the same block builder from the sorted stream.
 //
 // # The summary shape
 //
-// The wave's product is the in-order key sequence plus its prefix-sum
-// array — which IS a balanced summary tree, stored implicitly: segment
-// [a,b) of the sorted keys is a node whose subtree summaries are all O(1)
-// (count = b-a, sum = Prefix[b]-Prefix[a], min = Keys[a], max =
-// Keys[b-1]), and whose children are the half-open halves around the
-// midpoint. Queries descend this tree, pruning subtrees wholly outside
-// the requested range and consuming whole-subtree summaries for subtrees
-// wholly inside, so every query is O(log n) — even when the live tree is
-// a degenerate spine (sequential inserts build one: the external BST does
-// not rebalance). Building it is one sorted append per key: the bottom-up
-// reconciliation is the prefix-sum pass, there are no per-node words for
-// writers to race on, and publishing is one atomic pointer store, so
-// readers are lock-free and never observe a half-built summary.
+// A summary is the sorted key sequence cut into immutable blocks of
+// between B/2 and 2B keys, plus a small index over them: each block's
+// largest key and the cumulative key counts and user-key sums of the
+// blocks before it. Rank is a binary search over the index and then one
+// block; Select a binary search over the cumulative counts; Sum adds the
+// cumulative sums and the two partial boundary blocks. A wave shares
+// every untouched block with the previous summary and rebuilds only the
+// index, so publishing stays one atomic pointer store and readers stay
+// lock-free, never observing a half-built summary.
 //
 // # Consistency menu
 //
 //   - Exact: serve the cached summary iff CleanDirty == dirty.Total(),
-//     else run (or join) a refresh wave and answer from its result. Cost:
-//     O(log n) when clean, one O(n) wave amortized over all concurrent
-//     exact queries when not.
+//     else run (or join) a refresh wave and answer from its result.
 //   - BoundedStale(m): serve the cached summary iff at most m mutations
 //     have completed since it was built. Each completed mutation moves
 //     any count, rank or selection index by at most 1, so every answer is
@@ -65,78 +63,153 @@ package orderstat
 
 import (
 	"errors"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/keys"
+	"repro/internal/metrics"
+)
+
+const (
+	// blockSize is B, the target keys per summary block. Walks cut blocks
+	// of exactly B; waves split a block that reaches 2B and merge a run
+	// shorter than B/2 into its right neighbour.
+	blockSize = 64
+	// walkShare: a wave whose distinct dirty keys exceed n/walkShare walks
+	// the tree instead — past that the per-key lookups cost more than
+	// visiting every key in order (measured crossover: between n/4 and
+	// n/2 at both 50K and 500K keys).
+	walkShare = 4
+	// drainEvery is how many keys a walk visits between drains of the
+	// dirty logs, so mutations racing a long walk are kept for the next
+	// wave instead of overflowing the writers' rings.
+	drainEvery = 4096
+	// maxPending bounds the keys carried from a walk to the next wave.
+	maxPending = 1 << 16
 )
 
 // ErrNotTracked reports an Index built over a tree without
-// core.Config.TrackDirty: with no dirty counter there is no freshness
-// token, and every staleness bound would be a lie.
+// core.Config.TrackDirty: with no dirty log there is no freshness token,
+// and every staleness bound would be a lie.
 var ErrNotTracked = errors.New("orderstat: tree was built without TrackDirty")
 
-// Summary is one published wave: the tree's in-order key sequence at the
-// wave's epoch pin, its user-key prefix sums, and the dirty total read
-// before the walk. Immutable once published; readers share it lock-free.
+// ErrIndexed reports a second Index over one tree. A wave drains the dirty
+// log destructively, so two indexes would each miss the keys the other
+// drained while both published summaries they believe exact.
+var ErrIndexed = errors.New("orderstat: tree already has an index")
+
+// Summary is one published wave: the tree's in-order key sequence as of
+// the wave, cut into blocks, and the dirty total the wave covers.
+// Immutable once published; readers share it lock-free, and later
+// summaries share its untouched blocks.
 type Summary struct {
-	// Keys is the mapped (internal uint64) key sequence, ascending.
-	Keys []uint64
-	// Prefix[i] is the sum of the first i user keys (int64 wraparound
-	// semantics on overflow, like any int64 sum). len(Prefix) == len(Keys)+1.
-	Prefix []int64
-	// CleanDirty is the dirty counter total read before the wave's walk
-	// began. The summary is exact while the counter still reads this.
+	blocks []block // in key order
+	n      int     // keys in all blocks
+	total  int64   // user-key sum of all blocks (int64 wraparound)
+	// CleanDirty is the dirty total the wave covers. The summary is exact
+	// while the counter still reads this.
 	CleanDirty uint64
 	// Wave numbers the refresh that built this summary (diagnostics).
 	Wave uint64
 }
 
+// block is one run of the summary's keys and its index entry.
+type block struct {
+	keys  []uint64 // ascending mapped keys, non-empty, immutable
+	last  uint64   // keys[len(keys)-1], kept inline for the index search
+	count int      // keys in the blocks before this one
+	sum   int64    // user-key sum of the blocks before this one
+}
+
+// Stats is an index's refresh telemetry. All counts are cumulative.
+type Stats struct {
+	IncrementalWaves uint64 // waves that re-resolved only dirty keys
+	FullWaves        uint64 // waves that walked the whole tree
+	FallbackWaves    uint64 // full waves after the first: lost keys or too many dirty keys
+	DirtyKeys        uint64 // distinct keys resolved by incremental waves
+	ExactHits        uint64 // Exact queries served from a clean summary
+	StaleHits        uint64 // BoundedStale queries served from the cache
+	WaveNanos        metrics.LatencySnapshot
+}
+
 // Index is the order-statistics accessor for one core tree. All methods
 // are safe for concurrent use; queries on a clean summary are lock-free.
 type Index struct {
-	t     *core.Tree
 	dirty *core.DirtyCounter
 
-	// mu serializes refresh waves and guards h, the wave walker handle.
-	mu sync.Mutex
-	h  *core.Handle
+	// mu serializes refresh waves and guards the wave state below.
+	mu      sync.Mutex
+	h       *core.Handle // the waves' lookup and walk handle
+	pending []uint64     // drained keys not yet resolved
+	lost    bool         // a drain lost keys: the next wave must walk
+	present []bool       // LookupBatch scratch
+	tail    []uint64     // block builder scratch
+	closed  bool
 
-	cur    atomic.Pointer[Summary]
-	waves  atomic.Uint64 // refresh waves run (diagnostics)
-	served atomic.Uint64 // queries answered from a cached summary
-	closed bool
+	cur atomic.Pointer[Summary]
+
+	incWaves, fullWaves, fallbacks  atomic.Uint64
+	dirtyKeys, exactHits, staleHits atomic.Uint64
+	waveTime                        metrics.Hist // written under mu
 }
 
 // New builds an Index over t. The tree must have been created with
-// Config.TrackDirty; the index registers one long-lived handle for its
-// refresh walks.
+// Config.TrackDirty and have no other open Index: the index claims the
+// tree's dirty log and registers one long-lived handle for its waves.
 func New(t *core.Tree) (*Index, error) {
 	if t.Dirty() == nil {
 		return nil, ErrNotTracked
 	}
-	ix := &Index{t: t, dirty: t.Dirty(), h: t.NewHandle()}
-	ix.cur.Store(&Summary{Prefix: []int64{0}}) // empty tree, never-written token
+	if !t.Dirty().Claim() {
+		return nil, ErrIndexed
+	}
+	ix := &Index{dirty: t.Dirty(), h: t.NewHandle()}
+	ix.cur.Store(&Summary{}) // empty tree, never-written token
 	return ix, nil
 }
 
-// Close releases the index's walker handle. The index must be quiescent.
+// Close releases the index's wave handle and its claim on the dirty log
+// (a later index starts with a full walk). The index must be quiescent.
 func (ix *Index) Close() {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if !ix.closed {
 		ix.h.Close()
+		ix.dirty.Release()
 		ix.closed = true
 	}
 }
 
 // Waves returns how many refresh waves have run (diagnostics).
-func (ix *Index) Waves() uint64 { return ix.waves.Load() }
+func (ix *Index) Waves() uint64 { return ix.incWaves.Load() + ix.fullWaves.Load() }
 
-// Served returns how many queries were answered from a cached summary
-// without triggering a wave (diagnostics; the cache-hit numerator).
-func (ix *Index) Served() uint64 { return ix.served.Load() }
+// Stats returns the index's refresh telemetry.
+func (ix *Index) Stats() Stats {
+	return Stats{
+		IncrementalWaves: ix.incWaves.Load(),
+		FullWaves:        ix.fullWaves.Load(),
+		FallbackWaves:    ix.fallbacks.Load(),
+		DirtyKeys:        ix.dirtyKeys.Load(),
+		ExactHits:        ix.exactHits.Load(),
+		StaleHits:        ix.staleHits.Load(),
+		WaveNanos:        ix.waveTime.Snapshot(),
+	}
+}
+
+// Add folds o into s (merging a sharded forest's per-shard indexes).
+func (s *Stats) Add(o Stats) {
+	s.IncrementalWaves += o.IncrementalWaves
+	s.FullWaves += o.FullWaves
+	s.FallbackWaves += o.FallbackWaves
+	s.DirtyKeys += o.DirtyKeys
+	s.ExactHits += o.ExactHits
+	s.StaleHits += o.StaleHits
+	s.WaveNanos.Add(o.WaveNanos)
+}
 
 // Acquire returns a summary satisfying the requested consistency: exact
 // (no completed mutation uncounted) or bounded-stale (at most maxDirty
@@ -145,124 +218,330 @@ func (ix *Index) Served() uint64 { return ix.served.Load() }
 func (ix *Index) Acquire(exact bool, maxDirty uint64) *Summary {
 	s := ix.cur.Load()
 	lag := ix.dirty.Total() - s.CleanDirty
-	if s.CleanDirty == 0 && len(s.Keys) == 0 && s.Wave == 0 {
+	switch {
+	case s.Wave == 0:
 		// The constructor's placeholder: only trust it when the tree has
 		// truly never been written (lag covers that), never as "clean".
 		if lag == 0 && !exact {
-			ix.served.Add(1)
+			ix.staleHits.Add(1)
 			return s
 		}
-	} else if lag == 0 || (!exact && lag <= maxDirty) {
-		ix.served.Add(1)
+	case lag == 0 && exact:
+		ix.exactHits.Add(1)
+		return s
+	case !exact && lag <= maxDirty:
+		ix.staleHits.Add(1)
 		return s
 	}
 	return ix.Refresh()
 }
 
-// Refresh runs one wave: read the dirty total, walk the tree in order
-// under an epoch pin, rebuild the summary, publish it. Returns the
-// published summary (which may be a concurrent wave's result that is
-// already clean enough). Allocates O(n); superseded summaries are garbage
-// collected once their readers finish — readers never block a wave.
+// Refresh runs one wave: drain the dirty keys and the total they bring
+// the count to, resolve them, publish the summary. Returns the published
+// summary (which may be a concurrent wave's result that is already clean
+// enough). Superseded summaries are garbage collected once their readers
+// finish — readers never block a wave.
 func (ix *Index) Refresh() *Summary {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	d0 := ix.dirty.Total()
-	if s := ix.cur.Load(); s.CleanDirty == d0 && s.Wave > 0 {
+	start := time.Now()
+	cur := ix.cur.Load()
+	var d0 uint64
+	var lost bool
+	ix.pending, d0, lost = ix.dirty.Drain(ix.pending)
+	ix.lost = ix.lost || lost
+	if cur.Wave > 0 && d0 == cur.CleanDirty {
 		// A wave we queued behind already covers every mutation completed
-		// before our dirty read; rebuilding would produce the same answer.
-		return s
+		// before our drain; rebuilding would produce the same answer.
+		return cur
 	}
-	n := len(ix.cur.Load().Keys)
-	ks := make([]uint64, 0, n+n/8+16)
-	ix.h.Range(0, keys.Map(keys.MaxUser), func(u uint64) bool {
-		ks = append(ks, u)
-		return true
-	})
-	prefix := make([]int64, len(ks)+1)
-	for i, u := range ks {
-		prefix[i+1] = prefix[i] + keys.Unmap(u)
+	dirty := sortDedup(ix.pending)
+	wave := ix.Waves() + 1
+	var s *Summary
+	if cur.Wave == 0 || ix.lost || len(dirty)*walkShare > cur.Len() {
+		if cur.Wave > 0 {
+			ix.fallbacks.Add(1)
+		}
+		s = ix.walk(cur, d0, wave)
+		ix.fullWaves.Add(1)
+	} else {
+		s = ix.incremental(cur, dirty, d0, wave)
+		ix.pending = ix.pending[:0]
+		ix.dirtyKeys.Add(uint64(len(dirty)))
+		ix.incWaves.Add(1)
 	}
-	s := &Summary{Keys: ks, Prefix: prefix, CleanDirty: d0, Wave: ix.waves.Add(1)}
 	ix.cur.Store(s)
+	ix.waveTime.Observe(time.Since(start))
 	return s
 }
 
-// --- Queries. All are pruning descents over the implicit balanced
-// summary tree: segment [a,b) prunes when wholly outside [lo,hi] (its
-// min/max summaries decide in O(1)) and contributes its whole-subtree
-// summary when wholly inside, so only the two boundary paths split.
-
-// Len returns the number of keys the summary covers.
-func (s *Summary) Len() int { return len(s.Keys) }
-
-// Rank returns the number of keys strictly less than u — a descent that
-// prunes every subtree wholly below u (count taken from its summary) and
-// wholly at-or-above u (contributes nothing).
-func (s *Summary) Rank(u uint64) int {
-	a, b := 0, len(s.Keys)
-	rank := 0
-	for a < b {
-		m := int(uint(a+b) >> 1)
-		if s.Keys[m] < u {
-			rank += m + 1 - a // left half + midpoint: wholly below u
-			a = m + 1
-		} else {
-			b = m
+// walk rebuilds the summary from an epoch-pinned in-order walk. The
+// drain that read d0 consumed every key the walk covers; the drains it
+// makes along the way collect keys of mutations racing it, which belong
+// to the next wave.
+func (ix *Index) walk(cur *Summary, d0, wave uint64) *Summary {
+	ix.pending, ix.lost = ix.pending[:0], false
+	b := ix.newBuilder(cur.Len()/blockSize + 1)
+	seen := 0
+	ix.h.Range(0, keys.Map(keys.MaxUser), func(u uint64) bool {
+		b.add(u)
+		if seen++; seen%drainEvery == 0 {
+			var lost bool
+			ix.pending, _, lost = ix.dirty.Drain(ix.pending)
+			if lost || len(ix.pending) > maxPending {
+				ix.pending, ix.lost = ix.pending[:0], true
+			}
 		}
-	}
-	return rank
+		return true
+	})
+	return b.finish(d0, wave)
 }
 
+// incremental resolves the sorted distinct dirty keys with one batched
+// lookup and rewrites only the blocks they fall in; runs of untouched
+// blocks are shared wholesale.
+func (ix *Index) incremental(cur *Summary, dirty []uint64, d0, wave uint64) *Summary {
+	present := slices.Grow(ix.present[:0], len(dirty))[:len(dirty)]
+	ix.present = present
+	ix.h.LookupBatch(dirty, present)
+	b := ix.newBuilder(len(cur.blocks) + len(dirty)/blockSize + 1)
+	nb := len(cur.blocks)
+	if nb == 0 {
+		b.merge(nil, dirty, present)
+		return b.finish(d0, wave)
+	}
+	shared := 0 // first block not yet emitted
+	for j := 0; j < len(dirty); {
+		// The block holding dirty[j]: the first whose last key is ≥ it;
+		// the last block takes every key beyond it.
+		bi := shared + sort.Search(nb-1-shared, func(x int) bool { return cur.blocks[shared+x].last >= dirty[j] })
+		b.shareRun(cur, shared, bi)
+		k := j + 1
+		for k < len(dirty) && (bi == nb-1 || dirty[k] <= cur.blocks[bi].last) {
+			k++
+		}
+		b.merge(cur.blocks[bi].keys, dirty[j:k], present[j:k])
+		j, shared = k, bi+1
+	}
+	b.shareRun(cur, shared, nb)
+	return b.finish(d0, wave)
+}
+
+// sortDedup sorts ks ascending and drops repeats in place.
+func sortDedup(ks []uint64) []uint64 {
+	slices.Sort(ks)
+	return slices.Compact(ks)
+}
+
+// builder assembles a summary's blocks in key order. Keys it owns
+// accumulate in tail and are cut into fresh blocks; unchanged blocks of
+// the previous summary are shared as they are.
+type builder struct {
+	s    *Summary
+	tail []uint64
+	ix   *Index
+}
+
+func (ix *Index) newBuilder(blocks int) *builder {
+	s := &Summary{blocks: make([]block, 0, blocks)}
+	return &builder{s: s, tail: ix.tail[:0], ix: ix}
+}
+
+// push appends one block whose user keys sum to sum.
+func (b *builder) push(keys []uint64, sum int64) {
+	s := b.s
+	s.blocks = append(s.blocks, block{keys: keys, last: keys[len(keys)-1], count: s.n, sum: s.total})
+	s.n += len(keys)
+	s.total += sum
+}
+
+// add appends one owned key; a tail reaching 2B is split, its first B
+// keys becoming a block.
+func (b *builder) add(u uint64) {
+	b.tail = append(b.tail, u)
+	if len(b.tail) == 2*blockSize {
+		b.cut(blockSize)
+	}
+}
+
+// addRun appends owned keys in bulk, splitting like add.
+func (b *builder) addRun(ks []uint64) {
+	b.tail = append(b.tail, ks...)
+	for len(b.tail) >= 2*blockSize {
+		b.cut(blockSize)
+	}
+}
+
+// cut publishes the first n tail keys as a new block.
+func (b *builder) cut(n int) {
+	blk := slices.Clone(b.tail[:n])
+	var sum int64
+	for _, u := range blk {
+		sum += keys.Unmap(u)
+	}
+	b.push(blk, sum)
+	b.tail = b.tail[:copy(b.tail, b.tail[n:])]
+}
+
+// shareRun appends the previous summary's untouched blocks [i, k). A
+// tail of at least B/2 keys is cut into its own block first; a shorter
+// one absorbs the first shared block instead, so a touched region never
+// leaves a trail of tiny blocks behind. The rest are copied wholesale,
+// their index entries shifted by the net change before them.
+func (b *builder) shareRun(cur *Summary, i, k int) {
+	for ; i < k && len(b.tail) > 0; i++ {
+		if len(b.tail) >= blockSize/2 {
+			b.cut(len(b.tail))
+			break
+		}
+		b.addRun(cur.blocks[i].keys)
+	}
+	if i >= k {
+		return
+	}
+	s := b.s
+	dc, ds := s.n-cur.blocks[i].count, s.total-cur.blocks[i].sum
+	at := len(s.blocks)
+	s.blocks = append(s.blocks, cur.blocks[i:k]...)
+	for x := at; x < len(s.blocks); x++ {
+		s.blocks[x].count += dc
+		s.blocks[x].sum += ds
+	}
+	if k == len(cur.blocks) {
+		s.n, s.total = cur.n+dc, cur.total+ds
+	} else {
+		s.n, s.total = cur.blocks[k].count+dc, cur.blocks[k].sum+ds
+	}
+}
+
+// merge adds blk's keys with the dirty keys' presence applied: each dirty
+// key is dropped from blk and re-added iff present.
+func (b *builder) merge(blk, dirty []uint64, present []bool) {
+	for j, d := range dirty {
+		i, found := slices.BinarySearch(blk, d)
+		b.addRun(blk[:i])
+		if found {
+			i++
+		}
+		blk = blk[i:]
+		if present[j] {
+			b.add(d)
+		}
+	}
+	b.addRun(blk)
+}
+
+// finish cuts the remaining tail and stamps the summary.
+func (b *builder) finish(d0, wave uint64) *Summary {
+	if len(b.tail) > 0 {
+		b.cut(len(b.tail))
+	}
+	b.ix.tail = b.tail
+	b.s.CleanDirty, b.s.Wave = d0, wave
+	return b.s
+}
+
+// --- Queries. A position is (block, offset); the index finds the block
+// in O(log(n/B)) and a binary search or a partial sum finishes inside it.
+
+// Len returns the number of keys the summary covers.
+func (s *Summary) Len() int { return s.n }
+
+// locate returns the position of the first key ≥ u: block b and offset i
+// within it, or (len(blocks), 0) when every key is below u.
+func (s *Summary) locate(u uint64) (b, i int) {
+	b = sort.Search(len(s.blocks), func(j int) bool { return s.blocks[j].last >= u })
+	if b == len(s.blocks) {
+		return b, 0
+	}
+	blk := s.blocks[b].keys
+	return b, sort.Search(len(blk), func(j int) bool { return blk[j] >= u })
+}
+
+// before returns the number of keys before position (b, i).
+func (s *Summary) before(b, i int) int {
+	if b == len(s.blocks) {
+		return s.n
+	}
+	return s.blocks[b].count + i
+}
+
+// Rank returns the number of keys strictly less than u.
+func (s *Summary) Rank(u uint64) int { return s.before(s.locate(u)) }
+
 // Select returns the i-th smallest key (0-based); ok is false when i is
-// out of range. O(1): the implicit tree's in-order sequence is the array.
+// out of range.
 func (s *Summary) Select(i int) (uint64, bool) {
-	if i < 0 || i >= len(s.Keys) {
+	if i < 0 || i >= s.n {
 		return 0, false
 	}
-	return s.Keys[i], true
+	b := sort.Search(len(s.blocks), func(j int) bool { return s.blocks[j].count > i }) - 1
+	return s.blocks[b].keys[i-s.blocks[b].count], true
 }
 
 // Count returns the number of keys in [lo, hi] (inclusive, matching the
-// tree's Range): the rank descent run at both boundaries.
+// tree's Range).
 func (s *Summary) Count(lo, hi uint64) int {
 	if lo > hi {
 		return 0
 	}
-	c := s.Rank(hi+1) - s.Rank(lo)
 	if hi == ^uint64(0) { // Rank(hi+1) would wrap; nothing exceeds hi
-		c = len(s.Keys) - s.Rank(lo)
+		return s.n - s.Rank(lo)
 	}
-	return c
+	return s.Rank(hi+1) - s.Rank(lo)
 }
 
 // Sum returns the sum of the user (unmapped int64) keys in [lo, hi],
-// with int64 wraparound on overflow. The boundary descents reduce to
-// prefix-sum lookups: a wholly-inside subtree contributes
-// Prefix[b]-Prefix[a] in O(1).
+// with int64 wraparound on overflow: the cumulative block sums between
+// the two boundaries, corrected by the partial boundary blocks.
 func (s *Summary) Sum(lo, hi uint64) int64 {
 	if lo > hi {
 		return 0
 	}
-	a := s.Rank(lo)
-	b := len(s.Keys)
+	ba, ia := s.locate(lo)
+	bb, ib := len(s.blocks), 0
 	if hi != ^uint64(0) {
-		b = s.Rank(hi + 1)
+		bb, ib = s.locate(hi + 1)
 	}
-	return s.Prefix[b] - s.Prefix[a]
+	return s.prefix(bb, ib) - s.prefix(ba, ia)
+}
+
+// prefix returns the user-key sum of every key before position (b, i),
+// adding or subtracting whichever part of block b is shorter.
+func (s *Summary) prefix(b, i int) int64 {
+	if b == len(s.blocks) {
+		return s.total
+	}
+	blk := s.blocks[b]
+	if i <= len(blk.keys)/2 {
+		p := blk.sum
+		for _, u := range blk.keys[:i] {
+			p += keys.Unmap(u)
+		}
+		return p
+	}
+	p := s.total
+	if b+1 < len(s.blocks) {
+		p = s.blocks[b+1].sum
+	}
+	for _, u := range blk.keys[i:] {
+		p -= keys.Unmap(u)
+	}
+	return p
 }
 
 // Visit yields the summary's keys in [lo, hi] ascending — the planner
-// behind the indexed scan: the descent seeks directly to the range's
-// first key, skipping every subtree wholly outside the range, where a
-// plain tree scan would walk and discard them.
+// behind the indexed scan: it seeks directly to the range's first key
+// where a plain tree scan would walk and discard everything before it.
 func (s *Summary) Visit(lo, hi uint64, yield func(u uint64) bool) {
 	if lo > hi {
 		return
 	}
-	for i := s.Rank(lo); i < len(s.Keys) && s.Keys[i] <= hi; i++ {
-		if !yield(s.Keys[i]) {
-			return
+	for b, i := s.locate(lo); b < len(s.blocks); b, i = b+1, 0 {
+		for _, u := range s.blocks[b].keys[i:] {
+			if u > hi || !yield(u) {
+				return
+			}
 		}
 	}
 }

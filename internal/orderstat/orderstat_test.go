@@ -29,6 +29,27 @@ func TestNewRequiresTrackDirty(t *testing.T) {
 	}
 }
 
+// TestOneIndexPerTree: a second index would drain keys the first needs,
+// so New refuses it until the first is closed.
+func TestOneIndexPerTree(t *testing.T) {
+	tree, ix := newTracked(t)
+	if _, err := New(tree); err != ErrIndexed {
+		t.Fatalf("second New: err = %v, want ErrIndexed", err)
+	}
+	tree.Insert(keys.Map(1))
+	ix.Acquire(true, 0)
+	ix.Close()
+	ix2, err := New(tree)
+	if err != nil {
+		t.Fatalf("New after Close: %v", err)
+	}
+	defer ix2.Close()
+	tree.Insert(keys.Map(2))
+	if s := ix2.Acquire(true, 0); s.Len() != 2 {
+		t.Fatalf("new index's summary holds %d keys, want 2", s.Len())
+	}
+}
+
 // TestSummaryAgainstBruteForce cross-checks every query shape against a
 // sorted reference slice over random insert/delete churn.
 func TestSummaryAgainstBruteForce(t *testing.T) {

@@ -229,3 +229,31 @@ func TestSampledPathAllocs(t *testing.T) {
 		t.Fatalf("disabled path allocates %.1f per request, want 0", allocs)
 	}
 }
+
+// TestSnapshotRacesConnClose: Snapshot reads every connection's ring
+// while connections close and hand their rings back; under -race this
+// fails if a ring pointer is read or cleared outside the recorder lock.
+func TestSnapshotRacesConnClose(t *testing.T) {
+	r := New(Options{SampleEvery: 1})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conns := make([]*Conn, 16)
+		for i := 0; i < 200; i++ {
+			for j := range conns {
+				conns[j] = r.NewConn()
+			}
+			for _, c := range conns {
+				c.Close()
+			}
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+			r.Snapshot()
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	bst "repro"
+	"repro/internal/metrics"
 	"repro/internal/rtrace"
 	"repro/internal/wire"
 )
@@ -21,6 +22,26 @@ type AggregateStore interface {
 	Select(i int, c bst.Consistency) (int64, error)
 	CountRange(lo, hi int64, c bst.Consistency) (int, error)
 	SumRange(lo, hi int64, c bst.Consistency) (int64, error)
+}
+
+// statser is implemented by stores that report tree statistics
+// (*bst.Tree, durable.Tree); the order-statistics refresh telemetry in
+// them is exported on /metrics (zero for a tree without the index).
+type statser interface{ Stats() bst.Stats }
+
+// aggregateSeries folds a store's order-statistics refresh telemetry into
+// a metrics snapshot: refresh waves by kind, cache hits by consistency,
+// dirty keys re-resolved, and the wave duration histogram — enough to
+// tell from a scrape why an Exact aggregate was slow.
+func aggregateSeries(sn *metrics.Snapshot, a bst.AggregateStats) {
+	sn.External[`orderstat_waves_total{kind="incremental"}`] += a.IncrementalWaves
+	sn.External[`orderstat_waves_total{kind="full"}`] += a.FullWaves
+	sn.External["orderstat_wave_dirty_keys_total"] += a.DirtyKeys
+	sn.External[`orderstat_cache_hits_total{consistency="exact"}`] += a.ExactHits
+	sn.External[`orderstat_cache_hits_total{consistency="bounded_stale"}`] += a.StaleHits
+	l := metrics.LatencySnapshot{Count: a.WaveLatency.Count, SumNanos: a.WaveLatency.SumNanos}
+	copy(l.Buckets[:], a.WaveLatency.Buckets)
+	sn.ExternalLatency["orderstat_wave_seconds"] = l
 }
 
 // dispatchAggregate is dispatch for OpAggregate frames: decode the tail,

@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"io"
 	"net"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	bst "repro"
@@ -125,5 +128,55 @@ func TestAggregateBadTail(t *testing.T) {
 	resp, err = wire.DecodeAggregateResponse(payload)
 	if err != nil || resp.ID != 8 || resp.Status != wire.StatusOK || resp.Value != 0 {
 		t.Fatalf("good response = (%+v, %v), want id 8 OK value 0", resp, err)
+	}
+}
+
+// TestAggregateWaveMetrics checks that the order-statistics refresh
+// telemetry reaches /metrics: waves by kind, Exact cache hits and the
+// wave duration histogram.
+func TestAggregateWaveMetrics(t *testing.T) {
+	_, srv, cl := startServer(t, []bst.Option{bst.WithOrderStatistics()}, Config{})
+	defer cl.Close()
+	defer shutdown(t, srv)
+	ctx := context.Background()
+	exact := client.Consistency{Exact: true}
+	for k := int64(0); k < 1000; k++ {
+		if _, err := cl.Insert(ctx, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steps := []func() error{
+		func() error { _, err := cl.Rank(ctx, 10, exact); return err },         // first wave: full walk
+		func() error { _, err := cl.Insert(ctx, 5000); return err },            // one dirty key
+		func() error { _, err := cl.CountRange(ctx, 0, 9, exact); return err }, // incremental wave
+		func() error { _, err := cl.SumRange(ctx, 0, 9, exact); return err },   // served from the cache
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+
+	admin := httptest.NewServer(srv.AdminHandler())
+	defer admin.Close()
+	resp, err := admin.Client().Get(admin.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`bst_orderstat_waves_total{tree="serve",kind="full"} 1`,
+		`bst_orderstat_waves_total{tree="serve",kind="incremental"} 1`,
+		`bst_orderstat_wave_dirty_keys_total{tree="serve"} 1`,
+		`bst_orderstat_cache_hits_total{tree="serve",consistency="exact"} 1`,
+		`bst_orderstat_wave_seconds_count{tree="serve"} 2`,
+	} {
+		if !strings.Contains(string(body), want+"\n") {
+			t.Fatalf("/metrics missing %q:\n%s", want, body)
+		}
 	}
 }

@@ -335,6 +335,9 @@ func New(cfg Config) *Server {
 			sn.Gauges["server_draining"] = 0
 		}
 	})
+	if st, ok := cfg.Store.(statser); ok {
+		s.reg.AddHook(func(sn *metrics.Snapshot) { aggregateSeries(sn, st.Stats().Aggregates) })
+	}
 	return s
 }
 

@@ -125,16 +125,19 @@ func fromSnapshot(s metrics.Snapshot) Metrics {
 		Latency:     make(map[string]LatencyStats, int(metrics.NumOps)),
 	}
 	for op := metrics.Op(0); op < metrics.NumOps; op++ {
-		l := s.Latency[op]
-		m.Latency[op.Name()] = LatencyStats{
-			Count:    l.Count,
-			SumNanos: l.SumNanos,
-			P50Nanos: l.Quantile(0.50),
-			P99Nanos: l.Quantile(0.99),
-			Buckets:  append([]uint64(nil), l.Buckets[:]...),
-		}
+		m.Latency[op.Name()] = latencyStats(s.Latency[op])
 	}
 	return m
+}
+
+func latencyStats(l metrics.LatencySnapshot) LatencyStats {
+	return LatencyStats{
+		Count:    l.Count,
+		SumNanos: l.SumNanos,
+		P50Nanos: l.Quantile(0.50),
+		P99Nanos: l.Quantile(0.99),
+		Buckets:  append([]uint64(nil), l.Buckets[:]...),
+	}
 }
 
 // MetricsHandler returns an HTTP handler exposing the telemetry of the

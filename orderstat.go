@@ -5,19 +5,66 @@ import (
 	"fmt"
 
 	"repro/internal/keys"
+	"repro/internal/orderstat"
 )
 
 // Order statistics & range aggregates. WithOrderStatistics attaches a
 // lazily-refreshed augmentation layer (internal/orderstat) to the default
 // NatarajanMittal tree — sharded or not — so rank, select, count-in-range
 // and sum-in-range answer in O(log n) instead of an O(range) scan.
-// Writers pay one nil-checked counter bump per successful mutation; no
-// atomic is added to the lock-free hot paths. Every query names its
-// consistency: Exact answers are equivalent to an epoch-pinned scan at
-// the query's linearization point (forcing a summary refresh wave when
-// mutations have completed since the last one), BoundedStale(m) accepts
+// Writers pay one nil-checked dirty-log record (the key, plain stores)
+// per successful mutation; no atomic is added to the lock-free hot paths.
+// Every query names its consistency: Exact answers are equivalent to an
+// epoch-pinned scan at the query's linearization point (forcing a summary
+// refresh wave, which re-resolves only the keys mutated since the last
+// one, when mutations have completed since then), BoundedStale(m) accepts
 // answers at most m completed mutations old in exchange for never paying
 // a wave. See DESIGN.md §15 for the protocol and its staleness bounds.
+
+// AggregateStats is the order-statistics layer's refresh telemetry: how
+// often queries were answered from the cached summary, and how often —
+// and at what cost — a refresh wave rebuilt it. Counts are cumulative
+// (summed over shards on a sharded tree).
+type AggregateStats struct {
+	// IncrementalWaves re-resolved only the keys mutated since the
+	// previous wave; FullWaves walked the whole tree (the first wave, a
+	// wave after the dirty log lost keys, or one with too many dirty keys
+	// for the per-key lookups to beat a walk). FallbackWaves counts the
+	// full waves that were not an index's first.
+	IncrementalWaves uint64
+	FullWaves        uint64
+	FallbackWaves    uint64
+	// DirtyKeys counts the distinct keys incremental waves re-resolved;
+	// divided by IncrementalWaves it is the mean dirty keys per wave.
+	DirtyKeys uint64
+	// ExactHits and StaleHits count Exact and BoundedStale queries served
+	// from the cached summary without a wave.
+	ExactHits uint64
+	StaleHits uint64
+	// WaveLatency is the wave duration histogram (every wave is timed).
+	WaveLatency LatencyStats
+}
+
+func (t *Tree) aggregateStats() AggregateStats {
+	var s orderstat.Stats
+	switch {
+	case t.ix != nil:
+		s = t.ix.Stats()
+	case t.agg != nil:
+		s = t.agg.Stats()
+	default:
+		return AggregateStats{}
+	}
+	return AggregateStats{
+		IncrementalWaves: s.IncrementalWaves,
+		FullWaves:        s.FullWaves,
+		FallbackWaves:    s.FallbackWaves,
+		DirtyKeys:        s.DirtyKeys,
+		ExactHits:        s.ExactHits,
+		StaleHits:        s.StaleHits,
+		WaveLatency:      latencyStats(s.WaveNanos),
+	}
+}
 
 // ErrNoOrderStats is returned by the aggregate queries when the tree was
 // built without WithOrderStatistics (or with an algorithm other than
